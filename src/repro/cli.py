@@ -271,10 +271,12 @@ def _cmd_study(args: argparse.Namespace) -> int:
         else:
             _print("interrupted", err=True)
         return 130
-    elapsed = time.perf_counter() - started
     shards = shard_ranges(config.n_users, n_shards)
     if checkpoint is None:
         store.extend_batches(_study_batches(result, shards))
+    # Stop the timer after the store write so "wall" covers the whole
+    # command, as it does on the checkpointed path.
+    elapsed = time.perf_counter() - started
     _print(
         f"controlled study: {len(result.runs)} runs from "
         f"{len(result.profiles)} users -> {store.path}"
@@ -360,13 +362,17 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         on_progress=on_progress,
     )
-    if hub is not None:
-        with use_telemetry(hub):
+    try:
+        if hub is not None:
+            with use_telemetry(hub):
+                board = run_fleet(config, **fleet_kwargs)
+                if push_to is not None:
+                    pusher()  # final snapshot carries the full scoreboard
+        else:
             board = run_fleet(config, **fleet_kwargs)
-            if push_to is not None:
-                pusher()  # final snapshot carries the full scoreboard
-    else:
-        board = run_fleet(config, **fleet_kwargs)
+    except KeyboardInterrupt:
+        _print("interrupted", err=True)
+        return 130
     if args.out:
         Path(args.out).write_text(board.to_json())
     _print(

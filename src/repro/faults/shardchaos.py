@@ -44,8 +44,8 @@ from repro.util.rng import derive_rng
 
 __all__ = ["ShardAttemptFaults", "ShardFaultPlan"]
 
-#: Marker injected into a corrupted batch in place of real run records;
-#: the supervisor's batch validation rejects it and schedules a retry.
+#: Reply a corrupted attempt sends in place of its payload; the
+#: supervisor's reply validation rejects it and schedules a retry.
 CORRUPT_MARKER = "__uucs_corrupt_batch__"
 
 #: Spec aliases accepted by :meth:`ShardFaultPlan.parse`.

@@ -17,7 +17,10 @@ associative and the scoreboard is byte-identical for any shard count
 (integer addition cannot reorder-drift the way float addition can).
 Workers therefore return tiny per-cell integer aggregates, not
 per-epoch records, and a 100k-client fleet is minutes of CPU, not GB of
-IPC.
+IPC.  Sharded runs use the same supervisor as sharded studies
+(:func:`repro.study.supervisor.supervise_shards`): seeded-backoff
+retries, an optional watchdog, and reply validation.  Retries are safe
+because a shard is a pure function of ``(config, start, stop)``.
 
 Epoch model (per client, per epoch): the client draws the foreground
 task it is running, then for each studied resource asks its policy for
@@ -35,6 +38,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from repro.core.resources import Resource
@@ -42,6 +46,7 @@ from repro.errors import SchedulerError
 from repro.paperdata import STUDY_TASKS
 from repro.scheduler.policy import SCHEDULER_POLICIES, build_policy
 from repro.study.sharded import Shard, shard_ranges
+from repro.study.supervisor import SupervisorPolicy, supervise_shards
 from repro.telemetry import Telemetry, get_telemetry
 from repro.users import SimulatedUser, paper_calibrated_table
 from repro.users.population import sample_profile
@@ -335,121 +340,17 @@ def _scoreboard(
     return Scoreboard(config=config, cells=tuple(cells), elapsed_s=elapsed_s)
 
 
-def _fleet_worker_main(conn, config: FleetConfig, start: int, stop: int) -> None:
-    """Worker process entry: simulate one shard, reply on ``conn``.
-
-    Mirrors the sharded-study wire shape: ``("ok", aggregates)`` on
-    success, ``("error", message)`` on any exception, EOF on death.
-    """
-    try:
-        conn.send(("ok", simulate_clients(config, start, stop)))
-    except BaseException as exc:  # noqa: BLE001 — everything must be reported
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-def _run_sharded(
-    config: FleetConfig,
-    plan: Sequence[Shard],
-    max_workers: int | None,
-    mp_context: str | None,
-    max_attempts: int,
-    on_progress: Callable[[int, int], None] | None = None,
-) -> list[dict[str, list[int]]]:
-    """Supervised shard execution; every shard must complete.
-
-    Unlike the study supervisor there is no quarantine escape hatch: a
-    partial scoreboard would silently break byte-reproducibility, so a
-    shard that exhausts its attempts raises :class:`SchedulerError`.
-    Retries are safe because workers are pure functions of
-    ``(config, start, stop)``.
-    """
-    from multiprocessing.connection import wait as conn_wait
-
-    from repro.study.sharded import _resolve_context
-
-    ctx = _resolve_context(mp_context)
-    workers = (
-        max(1, min(len(plan), max_workers)) if max_workers else len(plan)
+def _valid_reply(shard: Shard, reply: object) -> bool:
+    """A worker reply must map ``"task,resource"`` keys to one int per
+    :data:`_AGG_FIELDS` entry; anything else is a damaged reply and is
+    retried instead of reaching :func:`_merge_aggregates`."""
+    return isinstance(reply, dict) and all(
+        isinstance(key, str)
+        and isinstance(counts, list)
+        and len(counts) == len(_AGG_FIELDS)
+        and all(isinstance(value, int) for value in counts)
+        for key, counts in reply.items()
     )
-    pending = list(reversed(plan))
-    running: dict = {}
-    attempts: dict[int, int] = {}
-    batches: dict[int, dict[str, list[int]]] = {}
-    procs: dict[int, object] = {}
-
-    def _launch(shard: Shard) -> None:
-        attempts[shard.index] = attempts.get(shard.index, 0) + 1
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_fleet_worker_main,
-            args=(send_conn, config, shard.start, shard.stop),
-            daemon=True,
-            name=f"uucs-fleet-{shard.index}",
-        )
-        proc.start()
-        send_conn.close()
-        running[recv_conn] = shard
-        procs[shard.index] = proc
-
-    def _reap(shard: Shard, conn) -> None:
-        running.pop(conn, None)
-        try:
-            conn.close()
-        except OSError:
-            pass
-        proc = procs.pop(shard.index, None)
-        if proc is not None:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5.0)
-
-    def _failed(shard: Shard, detail: str) -> None:
-        if attempts[shard.index] >= max_attempts:
-            raise SchedulerError(
-                f"fleet shard {shard.index} failed after "
-                f"{attempts[shard.index]} attempts: {detail}"
-            )
-        pending.append(shard)
-
-    try:
-        while pending or running:
-            while pending and len(running) < workers:
-                _launch(pending.pop())
-            for conn in conn_wait(list(running)):
-                shard = running.get(conn)
-                if shard is None:
-                    continue
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    _reap(shard, conn)
-                    _failed(shard, "worker died without replying")
-                    continue
-                _reap(shard, conn)
-                kind, payload = (
-                    message
-                    if isinstance(message, tuple) and len(message) == 2
-                    else ("error", f"malformed worker reply: {message!r}")
-                )
-                if kind == "ok" and isinstance(payload, dict):
-                    batches[shard.index] = payload
-                    if on_progress is not None:
-                        on_progress(len(batches), len(plan))
-                else:
-                    _failed(shard, str(payload))
-    finally:
-        for conn, shard in list(running.items()):
-            _reap(shard, conn)
-    return [batches[shard.index] for shard in plan]
 
 
 def _record_scoreboard(telemetry: Telemetry, board: Scoreboard) -> None:
@@ -499,16 +400,21 @@ def run_fleet(
     shards: int = 1,
     max_workers: int | None = None,
     mp_context: str | None = None,
-    max_attempts: int = 3,
+    supervisor: SupervisorPolicy | None = None,
     on_progress: Callable[[int, int], None] | None = None,
 ) -> Scoreboard:
     """Run one fleet simulation; byte-identical for any ``shards``.
 
     ``shards=1`` runs in-process; larger counts fan client ranges out to
-    supervised worker processes (dead workers are relaunched up to
-    ``max_attempts`` times, then the run fails — a partial scoreboard
-    is never returned).  ``on_progress(done, total)`` is called after
-    each shard completes in the sharded path.
+    the shard supervisor (:func:`~repro.study.supervisor.supervise_shards`)
+    under ``supervisor`` (default ``SupervisorPolicy(quarantine=False)``).
+    A worker that dies, errors, outlives ``supervisor.watchdog_s`` or
+    returns a malformed reply is relaunched after a seeded backoff, up
+    to ``supervisor.max_attempts`` tries; then the run raises
+    :class:`SchedulerError`.  A partial scoreboard is never returned,
+    so ``supervisor.quarantine`` does not apply.
+    ``on_progress(done, total)`` is called after each shard completes
+    in the sharded path.
 
     When telemetry is enabled the scoreboard lands in the
     ``uucs_sched_*`` metric families and one ``scheduler.decision``
@@ -535,10 +441,31 @@ def run_fleet(
                 on_progress(1, 1)
         else:
             plan = shard_ranges(config.clients, shards)
-            batches = _run_sharded(
-                config, plan, max_workers, mp_context, max_attempts,
-                on_progress,
+            replies: dict[int, dict[str, list[int]]] = {}
+
+            def completed(shard: Shard, reply, _elapsed: float) -> None:
+                replies[shard.index] = reply
+                if on_progress is not None:
+                    on_progress(len(replies), len(plan))
+
+            def exhausted(shard: Shard, attempts: int, _reason, detail) -> None:
+                raise SchedulerError(
+                    f"fleet shard {shard.index} failed after "
+                    f"{attempts} attempts: {detail}"
+                )
+
+            supervise_shards(
+                plan,
+                lambda shard: partial(simulate_clients, config),
+                _valid_reply,
+                completed,
+                exhausted,
+                supervisor or SupervisorPolicy(quarantine=False),
+                config.seed,
+                max_workers=max_workers,
+                mp_context=mp_context,
             )
+            batches = [replies[shard.index] for shard in plan]
         board = _scoreboard(
             config,
             _merge_aggregates(batches),

@@ -265,6 +265,16 @@ class TestExitCodes:
             _EXIT_CODES[errors.AnalysisError]
         assert _exit_code(errors.ReproError("x")) == 2
 
+    def test_harvest_interrupt_exits_130(self, monkeypatch, capsys):
+        import repro.scheduler
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repro.scheduler, "run_fleet", interrupted)
+        assert run_cli("harvest", "--clients", "2", "--epochs", "1") == 130
+        assert "interrupted" in capsys.readouterr().err
+
 
 class TestTelemetryCommands:
     def test_study_writes_event_log_and_summary_renders(self, tmp_path, capsys):

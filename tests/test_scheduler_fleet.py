@@ -1,13 +1,19 @@
 """Fleet simulation: byte-reproducibility, aggregation, CLI, telemetry."""
 
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
 from repro.cli import main
 from repro.errors import SchedulerError
 from repro.scheduler import FleetConfig, Scoreboard, run_fleet, simulate_clients
+from repro.scheduler import fleet
 from repro.scheduler.fleet import _merge_aggregates, _scoreboard
+from repro.study import SupervisorPolicy
 from repro.telemetry import Telemetry, use_telemetry
 
 CONFIG = FleetConfig(policy="cdf", clients=24, epochs=8, seed=11, budget=0.1)
@@ -80,6 +86,81 @@ class TestRunFleet:
         assert data["totals"]["decisions"] == board.decisions
         assert data["totals"]["harvested_ms"] == board.harvested_ms
         assert len(data["cells"]) == len(board.cells)
+
+
+#: Fast retries so failure tests spend their time in workers, not backoff.
+FAST = dict(base_delay=0.01, max_delay=0.02, quarantine=False)
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="monkeypatched workers reach children only through fork",
+)
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _first_attempt_fails(monkeypatch, tmp_path, fail):
+    """Make each shard's first attempt run ``fail()`` instead of
+    simulating; later attempts simulate normally.  Attempts are counted
+    with marker files, since every attempt is a separate process."""
+    real = fleet.simulate_clients
+
+    def flaky(config, start, stop):
+        marker = tmp_path / f"attempted-{start}"
+        if marker.exists():
+            return real(config, start, stop)
+        marker.touch()
+        return fail()
+
+    monkeypatch.setattr(fleet, "simulate_clients", flaky)
+
+
+@needs_fork
+class TestShardFailures:
+    def test_worker_death_is_retried(self, monkeypatch, tmp_path):
+        baseline = run_fleet(CONFIG, shards=1).to_json()
+        _first_attempt_fails(monkeypatch, tmp_path, _die)
+        board = run_fleet(
+            CONFIG, shards=3, mp_context="fork",
+            supervisor=SupervisorPolicy(**FAST),
+        )
+        assert board.to_json() == baseline
+        assert len(list(tmp_path.glob("attempted-*"))) == 3
+
+    def test_worker_dying_every_attempt_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            fleet, "simulate_clients", lambda config, start, stop: _die()
+        )
+        with pytest.raises(SchedulerError, match=r"fleet shard \d+ failed after 2"):
+            run_fleet(
+                CONFIG, shards=2, mp_context="fork",
+                supervisor=SupervisorPolicy(max_attempts=2, **FAST),
+            )
+
+    def test_hung_worker_killed_by_watchdog(self, monkeypatch, tmp_path):
+        baseline = run_fleet(CONFIG, shards=1).to_json()
+        _first_attempt_fails(monkeypatch, tmp_path, lambda: time.sleep(60))
+        started = time.monotonic()
+        board = run_fleet(
+            CONFIG, shards=2, mp_context="fork",
+            supervisor=SupervisorPolicy(watchdog_s=1.0, **FAST),
+        )
+        assert board.to_json() == baseline
+        assert time.monotonic() - started < 30
+
+    @pytest.mark.parametrize(
+        "reply", ["garbage", {"word,cpu": [1, 2]}, {"word,cpu": ["x"] * 6}]
+    )
+    def test_malformed_reply_is_retried(self, monkeypatch, tmp_path, reply):
+        baseline = run_fleet(CONFIG, shards=1).to_json()
+        _first_attempt_fails(monkeypatch, tmp_path, lambda: reply)
+        board = run_fleet(
+            CONFIG, shards=2, mp_context="fork",
+            supervisor=SupervisorPolicy(**FAST),
+        )
+        assert board.to_json() == baseline
 
 
 class TestTelemetry:
