@@ -1,7 +1,7 @@
-"""Throughput and tail latency of the UUCS server backends.
+"""Throughput and tail latency of the UUCS server transport.
 
-Benchmarks every registered server backend (threading, asyncio) at
-several concurrent-client counts.  Each client holds one persistent
+Benchmarks the asyncio server transport at several concurrent-client
+counts.  Each client holds one persistent
 connection, registers once, then issues sync requests back-to-back
 until its share of the request budget is spent.  Per-cell results go to
 ``BENCH_server.json`` at the repo root::
@@ -37,7 +37,7 @@ from repro.core.feedback import RunOutcome
 from repro.core.resources import Resource
 from repro.core.run import RunContext, TestcaseRun
 from repro.core.testcase import Testcase
-from repro.net import SERVER_BACKENDS, serve_transport
+from repro.net import AsyncioServerTransport
 from repro.server import PROTOCOL_VERSION, Message, UUCSServer
 from repro.telemetry import Telemetry
 
@@ -77,16 +77,15 @@ def _client_worker(listener, index: int, n_requests: int) -> int:
     return n_requests
 
 
-def bench_cell(tmp_root: Path, backend: str, n_clients: int,
-               total_requests: int) -> dict:
+def bench_cell(tmp_root: Path, n_clients: int, total_requests: int) -> dict:
     per_client = max(1, total_requests // n_clients)
     telemetry = Telemetry()
-    server = UUCSServer(tmp_root / f"{backend}-{n_clients}", seed=1,
+    server = UUCSServer(tmp_root / f"clients-{n_clients}", seed=1,
                         telemetry=telemetry)
     server.add_testcases(
         [Testcase.single("a", constant(Resource.CPU, 1.0, 10.0))]
     )
-    with serve_transport(server, backend=backend) as listener:
+    with AsyncioServerTransport(server) as listener:
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=n_clients) as pool:
             futures = [
@@ -96,8 +95,9 @@ def bench_cell(tmp_root: Path, backend: str, n_clients: int,
             done = sum(f.result() for f in futures)
         elapsed = time.perf_counter() - started
     histogram = telemetry.metrics.get("uucs_server_request_seconds")
+    # "backend" stays in the row: bench_check.py keys cells on it.
     return {
-        "backend": backend,
+        "backend": "asyncio",
         "clients": n_clients,
         "requests": done,
         "wall_seconds": round(elapsed, 4),
@@ -107,19 +107,18 @@ def bench_cell(tmp_root: Path, backend: str, n_clients: int,
     }
 
 
-def bench(tmp_root: Path, backends, client_counts, total_requests) -> dict:
+def bench(tmp_root: Path, client_counts, total_requests) -> dict:
     cells = []
-    for backend in backends:
-        for n_clients in client_counts:
-            cell = bench_cell(tmp_root, backend, n_clients, total_requests)
-            cells.append(cell)
-            print(
-                f"{backend:>10} x {n_clients:>4} clients: "
-                f"{cell['requests_per_second']:>9.1f} req/s, "
-                f"p99 {cell['p99_ms']:.2f} ms"
-            )
+    for n_clients in client_counts:
+        cell = bench_cell(tmp_root, n_clients, total_requests)
+        cells.append(cell)
+        print(
+            f"{n_clients:>4} clients: "
+            f"{cell['requests_per_second']:>9.1f} req/s, "
+            f"p99 {cell['p99_ms']:.2f} ms"
+        )
     return {
-        "benchmark": "UUCS server backends (repro.net)",
+        "benchmark": "UUCS server transport (repro.net)",
         "host": {
             "cpus": os.cpu_count(),
             "platform": platform.platform(),
@@ -134,10 +133,6 @@ def bench(tmp_root: Path, backends, client_counts, total_requests) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--backends", nargs="+", default=sorted(SERVER_BACKENDS),
-        choices=sorted(SERVER_BACKENDS),
-    )
-    parser.add_argument(
         "--clients", type=int, nargs="+", default=[1, 32, 256]
     )
     parser.add_argument("--requests", type=int, default=4096,
@@ -151,7 +146,7 @@ def main(argv=None) -> int:
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="bench-server-") as tmp:
-        report = bench(Path(tmp), args.backends, args.clients, args.requests)
+        report = bench(Path(tmp), args.clients, args.requests)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -29,6 +29,7 @@ parsing stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -58,10 +59,10 @@ from repro.errors import (
     StoreError,
     StudyError,
     ThrottleError,
+    TransportError,
     ValidationError,
 )
 from repro.faults.shardchaos import ShardFaultPlan
-from repro.net import SERVER_BACKENDS, serve_transport
 from repro.server.server import UUCSServer
 from repro.stores import ResultStore, TestcaseStore
 from repro.study.checkpoint import StudyCheckpoint
@@ -549,73 +550,73 @@ def _cmd_import_db(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _binding(what: str, host: str, port: int):
+    """Report a bind ``OSError`` the way the server transport does: as a
+    :class:`TransportError` (exit 6)."""
+    try:
+        yield
+    except OSError as exc:
+        raise TransportError(f"cannot bind {what} on {host}:{port}: {exc}") from exc
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.net.asyncio_server import AsyncioServerTransport
     from repro.telemetry.exporter import MetricsExporter
 
-    telemetry: Telemetry | None = None
-    if args.metrics_port is not None or args.telemetry:
-        telemetry = (
-            Telemetry.to_path(args.telemetry) if args.telemetry else Telemetry()
+    # Everything opened goes on one stack, so a failure at any step
+    # (a busy port, a bad flag) closes whatever was already open.
+    with contextlib.ExitStack() as stack:
+        telemetry: Telemetry | None = None
+        if args.metrics_port is not None or args.telemetry:
+            telemetry = (
+                Telemetry.to_path(args.telemetry) if args.telemetry else Telemetry()
+            )
+            stack.callback(telemetry.close)
+        server = UUCSServer(args.root, seed=args.seed, telemetry=telemetry)
+        if args.library:
+            server.add_testcases(generate_library(args.library, seed=args.seed))
+        transport = stack.enter_context(AsyncioServerTransport(
+            server, args.host, args.port, max_connections=args.max_connections,
+        ))
+        host, port = transport.address
+        _print(
+            f"UUCS server on {host}:{port} "
+            f"({len(server.testcases)} testcases)"
         )
-    server = UUCSServer(args.root, seed=args.seed, telemetry=telemetry)
-    if args.library:
-        server.add_testcases(generate_library(args.library, seed=args.seed))
-    from repro.net import default_backend
+        if args.chaos:
+            from repro.faults import ChaosTCPProxy, FaultPlan
+            from repro.util.rng import derive_rng
 
-    backend = args.backend or default_backend()
-    transport = serve_transport(
-        server,
-        backend=backend,
-        host=args.host,
-        port=args.port,
-        max_connections=args.max_connections,
-    )
-    host, port = transport.address
-    _print(
-        f"UUCS server on {host}:{port} "
-        f"({backend} backend, {len(server.testcases)} testcases)"
-    )
-    chaos = None
-    if args.chaos:
-        from repro.faults import ChaosTCPProxy, FaultPlan
-        from repro.util.rng import derive_rng
+            with _binding("the chaos proxy", args.host, 0):
+                chaos = stack.enter_context(ChaosTCPProxy(
+                    (host, port),
+                    FaultPlan.parse(args.chaos),
+                    seed=derive_rng(args.chaos_seed, "serve-chaos"),
+                    host=args.host,
+                    telemetry=telemetry,
+                ))
+            chost, cport = chaos.address
+            _print(f"chaos proxy on {chost}:{cport} (faults: {args.chaos})")
+        if args.metrics_port is not None:
+            with _binding("the metrics endpoint", args.host, args.metrics_port):
+                exporter = stack.enter_context(MetricsExporter(
+                    server.telemetry.metrics, args.host, args.metrics_port,
+                    rollups=server.rollups,
+                    stale_after=args.stale_after,
+                    evict_after=args.evict_after if args.evict_after > 0 else None,
+                ))
+            mhost, mport = exporter.address
+            _print(f"metrics endpoint on {mhost}:{mport}")
+            _print(f"fleet dashboard on http://{mhost}:{mport}/")
+        if args.telemetry:
+            _print(f"telemetry event log -> {args.telemetry}")
+        try:
+            import threading
 
-        chaos = ChaosTCPProxy(
-            (host, port),
-            FaultPlan.parse(args.chaos),
-            seed=derive_rng(args.chaos_seed, "serve-chaos"),
-            host=args.host,
-            telemetry=telemetry,
-        )
-        chost, cport = chaos.address
-        _print(f"chaos proxy on {chost}:{cport} (faults: {args.chaos})")
-    exporter = None
-    if args.metrics_port is not None:
-        exporter = MetricsExporter(
-            server.telemetry.metrics, args.host, args.metrics_port,
-            rollups=server.rollups,
-            stale_after=args.stale_after,
-            evict_after=args.evict_after if args.evict_after > 0 else None,
-        )
-        mhost, mport = exporter.address
-        _print(f"metrics endpoint on {mhost}:{mport}")
-        _print(f"fleet dashboard on http://{mhost}:{mport}/")
-    if args.telemetry:
-        _print(f"telemetry event log -> {args.telemetry}")
-    try:
-        import threading
-
-        threading.Event().wait(args.timeout if args.timeout > 0 else None)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if chaos is not None:
-            chaos.close()
-        transport.close()
-        if exporter is not None:
-            exporter.close()
-        if telemetry is not None:
-            telemetry.close()
+            threading.Event().wait(args.timeout if args.timeout > 0 else None)
+        except KeyboardInterrupt:
+            pass
     return 0
 
 
@@ -942,12 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--root", default="server")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0)
-    serve.add_argument("--backend", choices=sorted(SERVER_BACKENDS),
-                       default=None,
-                       help="server transport backend (default: "
-                            "$UUCS_SERVER_BACKEND or threading); asyncio "
-                            "holds thousands of concurrent connections in "
-                            "one process")
     serve.add_argument("--max-connections", type=int, default=None,
                        help="serve at most N connections at once; excess "
                             "connections queue with backpressure instead "

@@ -1,4 +1,4 @@
-"""The asyncio UUCS server backend.
+"""The UUCS server transport.
 
 One process, one event loop, thousands of mostly-idle client
 connections — the fleet shape Anderson & Fedak observed for volunteer
@@ -6,14 +6,11 @@ computing, where each client syncs for milliseconds and then sits on an
 open socket for minutes.  A thread per connection prices that fleet in
 stacks; a coroutine per connection prices it in a few hundred bytes.
 
-:class:`AsyncioServerTransport` mirrors the blocking
-:class:`~repro.server.server.TCPServerTransport` API exactly —
-construct, ``.address``, ``.connect()``, ``.close()``, context manager —
-so callers select a backend by name (see :mod:`repro.net.backends`)
-without changing shape.  The event loop runs in a dedicated background
-thread; protocol behaviour is the shared
-:class:`~repro.net.dispatcher.RequestDispatcher`, so both backends serve
-bit-identical responses.
+:class:`AsyncioServerTransport` is constructed, serves from
+``.address``, hands out clients with ``.connect()`` and stops with
+``.close()`` (or as a context manager).  The event loop runs in a
+dedicated background thread; protocol behaviour is the
+:class:`~repro.net.dispatcher.RequestDispatcher`.
 
 Request dispatch runs inline on the loop rather than in an executor:
 :meth:`UUCSServer.handle` serializes on a global lock anyway, so
@@ -37,8 +34,8 @@ from repro.server.server import TCPClientTransport, UUCSServer
 __all__ = ["AsyncioServerTransport"]
 
 #: Per-line read ceiling.  Hot-sync responses ship whole testcases on one
-#: line, so the asyncio stream limit must be far beyond the 64 KiB
-#: default the blocking backend never had.
+#: line, so the asyncio stream limit must be far beyond its 64 KiB
+#: default.
 MAX_LINE_BYTES = 16 * 1024 * 1024
 
 #: Pending-accept queue.  Large enough that a benchmark's worth of
@@ -69,7 +66,7 @@ class AsyncioServerTransport:
             raise ValidationError(
                 f"max_connections must be >= 1, got {max_connections}"
             )
-        self._dispatcher = RequestDispatcher(server, backend="asyncio")
+        self._dispatcher = RequestDispatcher(server)
         self._max_connections = max_connections
         self._drain_timeout = float(drain_timeout)
         self._tasks: set[asyncio.Task] = set()
@@ -182,7 +179,7 @@ class AsyncioServerTransport:
                 with contextlib.suppress(Exception):
                     await writer.wait_closed()
 
-    # -- public API (mirrors TCPServerTransport) ---------------------------
+    # -- public API --------------------------------------------------------
 
     @property
     def address(self) -> tuple[str, int]:

@@ -1,18 +1,20 @@
-"""The UUCS server core and its transports.
+"""The UUCS server core and its client-side transports.
 
 :class:`UUCSServer` is transport-independent: it maps one request
-:class:`~repro.server.protocol.Message` to one response.  Two transports
-expose it:
+:class:`~repro.server.protocol.Message` to one response.  Clients reach
+it through one of two transports:
 
 * :class:`InProcessTransport` — direct calls, used by simulations and tests;
-* :class:`TCPServerTransport` — newline-delimited JSON over TCP (the
-  Internet-facing deployment shape), built on :mod:`socketserver`.
+* :class:`TCPClientTransport` — newline-delimited JSON over TCP (the
+  Internet-facing deployment shape).
+
+The listening side of TCP is
+:class:`~repro.net.asyncio_server.AsyncioServerTransport`.
 """
 
 from __future__ import annotations
 
 import socket
-import socketserver
 import threading
 import time
 from pathlib import Path
@@ -38,7 +40,7 @@ from repro.stores import ResultStore, TestcaseStore
 from repro.telemetry import ClientRollups, Telemetry, TraceContext, get_telemetry
 from repro.util.rng import SeedLike
 
-__all__ = ["InProcessTransport", "TCPServerTransport", "UUCSServer"]
+__all__ = ["InProcessTransport", "TCPClientTransport", "UUCSServer"]
 
 
 class UUCSServer:
@@ -89,8 +91,8 @@ class UUCSServer:
         the caller's distributed trace — its parent is the client-side
         span that sent the request — and the response payload echoes
         this server span's context so the client can record where
-        server-side time went.  Identical on every transport backend:
-        both the threading and asyncio dispatchers funnel through here.
+        server-side time went.  The TCP transport's dispatcher and
+        :class:`InProcessTransport` both funnel through here.
         """
         telemetry = self.telemetry
         if not telemetry.enabled:
@@ -149,7 +151,7 @@ class UUCSServer:
         except ReproError as exc:
             # Any library failure — malformed payloads, store trouble,
             # validation of uploaded records — becomes an error *response*;
-            # a client mistake must never take down the serving thread.
+            # a client mistake must never take down the server.
             return Message.error(str(exc))
 
     def _handle_register(self, request: Message) -> Message:
@@ -328,155 +330,6 @@ class InProcessTransport:
 
     def close(self) -> None:
         """Nothing to release; present for transport symmetry."""
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via TCP tests
-        # All protocol behaviour lives in the backend-shared dispatcher;
-        # this handler only moves bytes between it and the socket.
-        dispatcher = self.server.dispatcher  # type: ignore[attr-defined]
-        dispatcher.connection_opened()
-        try:
-            for line in self.rfile:
-                payload = dispatcher.dispatch_line(line)
-                if payload is None:
-                    continue
-                self.wfile.write(payload)
-                self.wfile.flush()
-        except OSError:
-            # The peer vanished mid-exchange (reset, half-close, chaos
-            # proxy); this connection is done but the server is fine.
-            pass
-        finally:
-            dispatcher.connection_closed()
-
-
-class _ReusableThreadingTCPServer(socketserver.ThreadingTCPServer):
-    # A restarted server must be able to rebind its old port immediately,
-    # even while dead connections from the previous incarnation linger in
-    # TIME_WAIT.
-    allow_reuse_address = True
-
-    def __init__(
-        self,
-        *args: object,
-        max_connections: int | None = None,
-        **kwargs: object,
-    ):
-        self._open_requests: set[socket.socket] = set()
-        self._open_lock = threading.Lock()
-        self._slots = (
-            threading.BoundedSemaphore(max_connections)
-            if max_connections
-            else None
-        )
-        self._closing = False
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-
-    def process_request(self, request, client_address) -> None:
-        if self._slots is not None and not self._acquire_slot(request):
-            return
-        with self._open_lock:
-            self._open_requests.add(request)
-        super().process_request(request, client_address)
-
-    def _acquire_slot(self, request) -> bool:
-        # Backpressure, not refusal: while every handler thread is busy
-        # the accept loop parks here, so excess dials queue in the listen
-        # backlog instead of erroring.  Polled so close() can never
-        # deadlock behind a full pool.
-        if not self._slots.acquire(blocking=False):
-            self.dispatcher.connection_waited()  # type: ignore[attr-defined]
-            while not self._slots.acquire(timeout=0.05):
-                if self._closing:
-                    super().shutdown_request(request)
-                    return False
-        return True
-
-    def shutdown_request(self, request) -> None:
-        with self._open_lock:
-            held_slot = request in self._open_requests
-            self._open_requests.discard(request)
-        if self._slots is not None and held_slot:
-            self._slots.release()
-        super().shutdown_request(request)
-
-    def close_all_connections(self) -> None:
-        # Handler threads are daemonic and block reading their sockets;
-        # without this a "stopped" server would keep serving established
-        # connections forever, which is not what a restart means.
-        with self._open_lock:
-            requests = list(self._open_requests)
-        for request in requests:
-            try:
-                request.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-
-
-class TCPServerTransport:
-    """Serve a :class:`UUCSServer` over localhost TCP (thread per
-    connection; the ``threading`` entry of the backend registry).
-
-    ``max_connections`` bounds concurrently served connections with
-    backpressure: when every slot is taken the accept loop pauses, so
-    excess dials queue in the listen backlog instead of failing.  Also
-    provides the matching client-side transport via :meth:`connect`.
-    """
-
-    def __init__(
-        self,
-        server: UUCSServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_connections: int | None = None,
-        drain_timeout: float = 5.0,
-    ):
-        # Deferred import: repro.net imports this module for the registry.
-        from repro.net.dispatcher import RequestDispatcher
-
-        self._tcp = _ReusableThreadingTCPServer(
-            (host, port),
-            _Handler,
-            bind_and_activate=True,
-            max_connections=max_connections,
-        )
-        self._tcp.daemon_threads = True
-        self._tcp.uucs_server = server  # type: ignore[attr-defined]
-        self._tcp.dispatcher = RequestDispatcher(  # type: ignore[attr-defined]
-            server, backend="threading"
-        )
-        self._drain_timeout = float(drain_timeout)
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever, name="uucs-server", daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._tcp.server_address[:2]
-        return str(host), int(port)
-
-    def connect(self) -> "TCPClientTransport":
-        return TCPClientTransport(*self.address)
-
-    def close(self) -> None:
-        # The listening socket is released unconditionally: even when a
-        # handler or the accept loop raises mid-shutdown, the port must
-        # be immediately rebindable by the next incarnation.
-        self._tcp._closing = True
-        try:
-            self._tcp.shutdown()
-            self._tcp.close_all_connections()
-        finally:
-            self._tcp.server_close()
-            self._thread.join(timeout=self._drain_timeout)
-
-    def __enter__(self) -> "TCPServerTransport":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class TCPClientTransport:

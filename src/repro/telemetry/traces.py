@@ -356,7 +356,7 @@ def to_chrome_trace(traces: Sequence[Trace]) -> dict[str, object]:
     real processes.  Timestamps are microseconds relative to the
     earliest span start across all ``traces`` (the format wants small
     positive numbers, not epochs).  Concurrent same-process spans (the
-    asyncio backend) share one thread lane and simply overlap.
+    asyncio server transport) share one thread lane and simply overlap.
     """
     events: list[dict[str, object]] = []
     processes = sorted({r.process for t in traces for r in t.spans})

@@ -6,7 +6,7 @@ measures wall time (injectable clock), tracks nesting through a
 carrying the span name, duration, outcome (``ok`` or the exception
 type), and its position in the trace tree (ids, trace id, depth).
 
-**Why contextvars, not threading.local.**  The asyncio server backend
+**Why contextvars, not threading.local.**  The asyncio server transport
 serves every connection from one event loop thread; a thread-local
 stack would interleave concurrent requests' spans into one bogus
 ancestry.  ``ContextVar`` state is copied per :class:`asyncio.Task`, so

@@ -1,5 +1,7 @@
 """Tests for the uucs CLI toolchain."""
 
+import socket
+
 import pytest
 
 from repro.cli import main
@@ -193,44 +195,103 @@ class TestTestcaseEdit:
                        "--scale", "100.0") == 3
 
 
+@pytest.fixture()
+def busy_port():
+    """A localhost port held open by a listening socket."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield sock.getsockname()[1]
+
+
+def _served_port(out):
+    """The port from the "UUCS server on HOST:PORT (...)" line."""
+    first = out.splitlines()[0]
+    assert first.startswith("UUCS server on ")
+    return int(first.split()[3].rsplit(":", 1)[1])
+
+
+def _assert_released(port):
+    with socket.create_server(("127.0.0.1", port)):
+        pass
+
+
 class TestServeAndClient:
     def test_serve_briefly(self, tmp_path, capsys):
         assert run_cli("serve", "--root", str(tmp_path / "srv"),
                        "--library", "3", "--timeout", "0.2") == 0
         out = capsys.readouterr().out
-        assert "UUCS server on 127.0.0.1" in out
-        assert "threading backend" in out
+        assert out.startswith("UUCS server on 127.0.0.1:")
         assert "3 testcases" in out
 
-    def test_serve_asyncio_backend(self, tmp_path, capsys):
-        assert run_cli("serve", "--root", str(tmp_path / "srv"),
-                       "--backend", "asyncio", "--max-connections", "64",
-                       "--library", "3", "--timeout", "0.2") == 0
-        out = capsys.readouterr().out
-        assert "UUCS server on 127.0.0.1" in out
-        assert "asyncio backend" in out
+    def test_serve_asyncio_backend(self, tmp_path, capsys, monkeypatch):
+        from repro.net.asyncio_server import AsyncioServerTransport
 
-    def test_serve_backend_env_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("UUCS_SERVER_BACKEND", "asyncio")
+        built = []
+        init = AsyncioServerTransport.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("max_connections"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AsyncioServerTransport, "__init__", spy)
         assert run_cli("serve", "--root", str(tmp_path / "srv"),
-                       "--timeout", "0.2") == 0
-        assert "asyncio backend" in capsys.readouterr().out
+                       "--max-connections", "64",
+                       "--library", "3", "--timeout", "0.2") == 0
+        assert built == [64]
+        assert capsys.readouterr().out.startswith("UUCS server on 127.0.0.1:")
 
     def test_serve_asyncio_with_chaos_proxy(self, tmp_path, capsys):
         assert run_cli("serve", "--root", str(tmp_path / "srv"),
-                       "--backend", "asyncio", "--library", "2",
+                       "--library", "2",
                        "--chaos", "drop=0.1", "--timeout", "0.2") == 0
         out = capsys.readouterr().out
-        assert "asyncio backend" in out
+        assert out.startswith("UUCS server on 127.0.0.1:")
         assert "chaos proxy on" in out
 
+    def test_serve_busy_port_exits_6(self, tmp_path, capsys, busy_port):
+        assert run_cli("serve", "--root", str(tmp_path / "srv"),
+                       "--port", str(busy_port), "--timeout", "0.2") == 6
+        assert "cannot bind" in capsys.readouterr().err
+
+    def test_serve_zero_max_connections_exits_3(self, tmp_path, capsys):
+        assert run_cli("serve", "--root", str(tmp_path / "srv"),
+                       "--max-connections", "0", "--timeout", "0.2") == 3
+        assert "max_connections" in capsys.readouterr().err
+
+    def test_serve_busy_metrics_port_exits_6_and_releases_server(
+        self, tmp_path, capsys, busy_port
+    ):
+        assert run_cli("serve", "--root", str(tmp_path / "srv"),
+                       "--metrics-port", str(busy_port),
+                       "--timeout", "0.2") == 6
+        captured = capsys.readouterr()
+        assert "cannot bind the metrics endpoint" in captured.err
+        _assert_released(_served_port(captured.out))
+
+    def test_serve_bad_flag_after_bind_closes_everything(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.telemetry import Telemetry
+
+        closed = []
+        close = Telemetry.close
+        monkeypatch.setattr(
+            Telemetry, "close", lambda self: (closed.append(self), close(self))
+        )
+        assert run_cli("serve", "--root", str(tmp_path / "srv"),
+                       "--metrics-port", "0", "--stale-after", "0",
+                       "--telemetry", str(tmp_path / "ev.jsonl"),
+                       "--timeout", "0.2") == 3
+        _assert_released(_served_port(capsys.readouterr().out))
+        assert len(closed) == 1
+
     def test_client_against_tcp_server(self, tmp_path, capsys):
-        from repro.server import TCPServerTransport, UUCSServer
+        from repro.net import AsyncioServerTransport
+        from repro.server import UUCSServer
         from repro.study import generate_library
 
         server = UUCSServer(tmp_path / "srv", seed=1)
         server.add_testcases(generate_library(10, seed=1))
-        with TCPServerTransport(server) as listener:
+        with AsyncioServerTransport(server) as listener:
             _, port = listener.address
             assert run_cli(
                 "client", "--port", str(port),

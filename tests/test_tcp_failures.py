@@ -1,9 +1,5 @@
 """TCP failure paths: malformed lines, cut connections, half-written
-responses, server restarts, and the seeded chaos-proxy soak.
-
-Server-side transports come from the backend registry, so setting
-``UUCS_SERVER_BACKEND=asyncio`` runs this whole file against the asyncio
-backend (the CI matrix does exactly that)."""
+responses, server restarts, and the seeded chaos-proxy soak."""
 
 import contextlib
 import json
@@ -25,7 +21,7 @@ from repro.faults import (
     RetryingTransport,
     RetryPolicy,
 )
-from repro.net import serve_transport
+from repro.net import AsyncioServerTransport
 from repro.server import Message, UUCSServer
 from repro.users import make_user, sample_population
 
@@ -38,7 +34,7 @@ def tc(tcid):
 def served(tmp_path):
     server = UUCSServer(tmp_path / "server", seed=1)
     server.add_testcases([tc("a"), tc("b")])
-    with serve_transport(server) as transport:
+    with AsyncioServerTransport(server) as transport:
         yield server, transport
 
 
@@ -138,7 +134,7 @@ class TestServerRestart:
         root = tmp_path / "server"
         server = UUCSServer(root, seed=1)
         server.add_testcases([tc("a"), tc("b")])
-        first = serve_transport(server)
+        first = AsyncioServerTransport(server)
         host, port = first.address
 
         transport = RetryingTransport(
@@ -159,7 +155,7 @@ class TestServerRestart:
         first.close()
         reborn = UUCSServer(root, seed=5)  # registry + results from disk
         reborn.add_testcases([tc("a"), tc("b")])
-        second = serve_transport(reborn, host=host, port=port)
+        second = AsyncioServerTransport(reborn, host, port)
         try:
             _, uploaded = client.hot_sync()
             assert uploaded == 1
@@ -190,7 +186,7 @@ class TestChaosProxySoak:
     def _soak(self, tmp_path, seed):
         server = UUCSServer(tmp_path / "server", seed=1)
         server.add_testcases([tc("a"), tc("b")])
-        tcp = serve_transport(server)
+        tcp = AsyncioServerTransport(server)
         proxy = ChaosTCPProxy(
             tcp.address,
             FaultPlan(
