@@ -13,18 +13,17 @@ ceiling is ~N x minus pool startup and result-pickling IPC; a 1-core
 host will show a slowdown for every shard count > 1, which the JSON
 records honestly (see ``host.cpus``).
 
-The report also carries **engine cells** (``--engines``): each session
+The report also carries **engine cells** (``--engines``): each study
 engine timed on the canonical 33-user study, plus a fleet-scale cell
-(``--scale-users``, default 20000) for engines with a batched user-range
-path, where per-cell template caches amortize.  Engines are measured *as
-shipped* — the batch engine pauses the cyclic GC internally as part of
-its design; the harness adds no GC games of its own.  Each batch cell's
-``speedup_vs_analytic`` divides its runs/s by the analytic cell's;
-the analytic engine's per-run cost is pure Python and scale-independent
-(its 33-user and 2000-user throughputs agree within noise), so the
-canonical cell is a fair denominator for the fleet-scale cells too.
-Every 33-user engine cell must reproduce the analytic cell's digest
-byte-for-byte (``byte_identical_to_analytic``), which on the canonical
+(``--scale-users``, default 20000) for the batch engine, where per-cell
+template caches amortize.  Engines are measured *as shipped* — the batch
+engine pauses the cyclic GC internally as part of its design; the
+harness adds no GC games of its own.  Each batch cell's
+``speedup_vs_loop`` divides its runs/s by the loop reference cell's;
+the loop engine's per-run cost is pure Python and scale-independent, so
+the canonical cell is a fair denominator for the fleet-scale cell too.
+Every 33-user engine cell must reproduce the loop cell's digest
+byte-for-byte (``byte_identical_to_loop``), which on the canonical
 config is also the golden pin.
 """
 
@@ -50,7 +49,6 @@ from repro.study import (
     run_controlled_study,
     run_sharded_study,
 )
-from repro.study.engine import BATCH_RANGE_ENGINES
 from repro.telemetry import Telemetry, use_telemetry
 
 
@@ -143,10 +141,10 @@ def bench_engines(
     repeat: int,
 ) -> list[dict]:
     """Engine-comparison cells: every engine at the canonical user count,
-    batched-range engines additionally at fleet scale."""
+    the batch engine additionally at fleet scale."""
     cells = []
-    analytic_rps = None
-    analytic_digest = None
+    loop_rps = None
+    loop_digest = None
 
     def one_cell(engine: str, n_users: int) -> dict:
         config = ControlledStudyConfig(
@@ -180,22 +178,21 @@ def bench_engines(
 
     for engine in engines:
         cell = one_cell(engine, users)
-        if engine == "analytic":
-            analytic_rps = cell["runs_per_second"]
-            analytic_digest = cell["sha256"]
+        if engine == "loop":
+            loop_rps = cell["runs_per_second"]
+            loop_digest = cell["sha256"]
         cells.append(cell)
-    for engine in engines:
-        if engine in BATCH_RANGE_ENGINES and scale_users > users:
-            cells.append(one_cell(engine, scale_users))
+    if "batch" in engines and scale_users > users:
+        cells.append(one_cell("batch", scale_users))
 
     for cell in cells:
-        if cell["users"] == users and analytic_digest is not None:
-            cell["byte_identical_to_analytic"] = (
-                cell["sha256"] == analytic_digest
-            )
-        if cell["engine"] != "analytic" and analytic_rps:
-            cell["speedup_vs_analytic"] = round(
-                cell["runs_per_second"] / analytic_rps, 1
+        if cell["engine"] == "loop":
+            continue
+        if cell["users"] == users and loop_digest is not None:
+            cell["byte_identical_to_loop"] = cell["sha256"] == loop_digest
+        if loop_rps:
+            cell["speedup_vs_loop"] = round(
+                cell["runs_per_second"] / loop_rps, 1
             )
     return cells
 
@@ -206,14 +203,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2004)
     parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4, 8])
     parser.add_argument("--engines", nargs="+",
-                        default=["analytic", "batch"],
-                        help="session engines to time head-to-head at "
-                             "--users (plus --scale-users for batched-"
-                             "range engines); pass --engines none to "
-                             "skip engine cells")
+                        default=["batch", "loop"],
+                        help="study engines to time head-to-head at "
+                             "--users (plus --scale-users for the batch "
+                             "engine); pass --engines none to skip "
+                             "engine cells")
     parser.add_argument("--scale-users", type=int, default=20000,
-                        help="fleet-scale population for batched-range "
-                             "engine cells (default: 20000)")
+                        help="fleet-scale population for the batch "
+                             "engine cell (default: 20000)")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument(
         "--out",
@@ -250,12 +247,10 @@ def main(argv=None) -> int:
             )
         else:
             extras = []
-            if "speedup_vs_analytic" in entry:
-                extras.append(f"{entry['speedup_vs_analytic']}x analytic")
-            if "byte_identical_to_analytic" in entry:
-                extras.append(
-                    f"identical={entry['byte_identical_to_analytic']}"
-                )
+            if "speedup_vs_loop" in entry:
+                extras.append(f"{entry['speedup_vs_loop']}x loop")
+            if "byte_identical_to_loop" in entry:
+                extras.append(f"identical={entry['byte_identical_to_loop']}")
             print(
                 f"engine={entry['engine']} users={entry['users']}: "
                 f"{entry['wall_seconds_best']:.3f}s "
@@ -267,7 +262,7 @@ def main(argv=None) -> int:
     diverged = [
         e for e in report["results"]
         if not e.get("byte_identical_to_1_shard", True)
-        or not e.get("byte_identical_to_analytic", True)
+        or not e.get("byte_identical_to_loop", True)
     ]
     if diverged:
         print("FAIL: outputs diverged across shards or engines",

@@ -96,9 +96,10 @@ def test_bench_poisson_schedule(benchmark):
     assert len(times) > 100
 
 
-def test_bench_analytic_engine_study(benchmark):
-    """The vectorized study engine (~9x the loop engine; identical runs)."""
-    config = ControlledStudyConfig(n_users=4, seed=5, engine="analytic")
+def test_bench_batch_engine_study(benchmark):
+    """The cell-batched study engine, the default (identical runs to the
+    loop engine)."""
+    config = ControlledStudyConfig(n_users=4, seed=5, engine="batch")
     result = benchmark.pedantic(
         run_controlled_study, args=(config,), rounds=5, iterations=1
     )

@@ -66,8 +66,7 @@ from repro.faults.shardchaos import ShardFaultPlan
 from repro.server.server import UUCSServer
 from repro.stores import ResultStore, TestcaseStore
 from repro.study.checkpoint import StudyCheckpoint
-from repro.study.controlled import ControlledStudyConfig
-from repro.study.engine import SESSION_ENGINES
+from repro.study.controlled import ENGINES, ControlledStudyConfig
 from repro.study.internet import generate_library
 from repro.scheduler.policy import SCHEDULER_POLICIES
 from repro.study.sharded import resolve_shards, run_sharded_study, shard_ranges
@@ -838,12 +837,12 @@ def build_parser() -> argparse.ArgumentParser:
     study = sub.add_parser("study", help="run the controlled study")
     study.add_argument("--users", type=int, default=33)
     study.add_argument("--seed", type=int, default=2004)
-    study.add_argument("--engine", default="analytic",
-                       choices=sorted(SESSION_ENGINES),
-                       help="session engine: 'batch' advances whole "
-                            "(task, testcase) cells as numpy arrays — "
-                            "byte-identical records, ~30x the runs/s "
-                            "at fleet scale (default: analytic)")
+    study.add_argument("--engine", default="batch", choices=ENGINES,
+                       help="study engine: 'batch' advances whole "
+                            "(task, testcase) cells as numpy arrays; "
+                            "'loop' polls every sample, the slow "
+                            "reference; records are byte-identical "
+                            "(default: batch)")
     study.add_argument("--results", default="results")
     study.add_argument("--shards", default="1", metavar="N|auto",
                        help="partition users across N worker processes, "

@@ -67,8 +67,8 @@ def record_session_metrics(
 ) -> None:
     """Record the standard per-run metrics and event for one session.
 
-    Shared by the loop engine here and the analytic engine
-    (:mod:`repro.study.engine`) so both report identically: an outcome
+    Shared by the loop engine here and the batch engine
+    (:mod:`repro.study.batch`) so both report identically: an outcome
     counter, a simulated-duration histogram, a wall-time histogram, and
     a ``session.run`` event.  Caller guarantees ``telemetry.enabled``.
     """

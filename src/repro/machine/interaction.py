@@ -76,7 +76,7 @@ def simulate_interaction_latencies(
     """Unroll a contention trajectory into per-event latencies.
 
     ``levels`` maps resources to equal-length sample arrays at
-    ``sample_rate`` (as produced by the analytic engine); events are
+    ``sample_rate`` (as produced by the batch study engine); events are
     generated across the covered duration at the task's grain.
     """
     if sample_rate <= 0:

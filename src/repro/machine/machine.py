@@ -103,7 +103,7 @@ class TaskInteractivityModel:
         ``levels`` maps resources to length-``n`` arrays (missing
         resources mean zero contention).  Returns ``(slowdown, jitter)``
         float64 arrays that are element-for-element identical to ``n``
-        scalar calls — the analytic study engine depends on that, and
+        scalar calls — the batch study engine depends on that, and
         the equivalence property tests enforce it.
         """
         import numpy as np

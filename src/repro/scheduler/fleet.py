@@ -46,7 +46,11 @@ from repro.errors import SchedulerError
 from repro.paperdata import STUDY_TASKS
 from repro.scheduler.policy import SCHEDULER_POLICIES, build_policy
 from repro.study.sharded import Shard, shard_ranges
-from repro.study.supervisor import SupervisorPolicy, supervise_shards
+from repro.study.supervisor import (
+    SupervisorPolicy,
+    check_max_workers,
+    supervise_shards,
+)
 from repro.telemetry import Telemetry, get_telemetry
 from repro.users import SimulatedUser, paper_calibrated_table
 from repro.users.population import sample_profile
@@ -425,6 +429,7 @@ def run_fleet(
         config = FleetConfig()
     if shards < 1:
         raise SchedulerError(f"shards must be >= 1, got {shards}")
+    check_max_workers(max_workers)
     telemetry = get_telemetry()
     started = time.perf_counter()
     with telemetry.span(

@@ -1,14 +1,16 @@
 """Cell-batched study engine: every user of a (task, testcase) cell at once.
 
-:func:`repro.study.engine.run_analytic_session` already collapses the
-per-sample poll loop into a closed-form numpy decision, but the study
-driver still pays Python-level costs *per run*: object construction for
-the user, threshold sampling through the ``scipy.stats`` wrappers, the
-trace slicing, the record assembly.  At fleet scale (ROADMAP: the
-million-user study) those per-run costs are the bottleneck, so this
-engine inverts the loop nesting — instead of running one user's 32
-sessions it advances **all users of one (task, testcase) cell together**,
-in three phases per block of users:
+The generic session loop (:func:`repro.core.session.run_simulated_session`)
+polls its feedback source at every sample, ~500 Python-level iterations
+per two-minute testcase, plus per-run object construction, threshold
+sampling through the ``scipy.stats`` wrappers, trace slicing and record
+assembly.  The controlled study only pairs deterministic testcase shapes
+with the threshold user model, whose randomness is all drawn in
+``begin_run``; after that the feedback decision is a pure function of
+the level series.  So this engine computes the decision in closed form
+with numpy and inverts the loop nesting — instead of running one user's
+32 sessions it advances **all users of one (task, testcase) cell
+together**, in three phases per block of users:
 
 1. **Draw** — replay each user's RNG consumption in exactly the scalar
    order (testcase ``permutation``, run-ids, per-resource thresholds,
@@ -22,14 +24,15 @@ in three phases per block of users:
    kernel behind the ``scipy.stats.norm.ppf`` wrapper the scalar path
    calls, and one ``integers(size=(n, 16))`` call consumes the
    BitGenerator stream exactly like ``n`` sequential run-id draws.
-2. **Decide** — vectorize ``_threshold_fire_step``'s last-false scan
-   across the user axis.  Monotone level series (every ramp and step the
-   study ships) get an O(users) ``searchsorted`` closed form; anything
-   that can dip and re-cross gets the generic 2-D ``maximum.accumulate``
-   scan.  The noise step's ceil/fix-up loops become array fixpoints.
-   The winner per run is the earliest candidate step, noise beating
-   thresholds on ties — the scalar ``min(candidates, key=(step,
-   source))``.
+2. **Decide** — find each user's first firing step (the threshold held
+   for one reaction delay, the clock reset by dips) across the user
+   axis.  Monotone level series (every ramp and step the study ships)
+   get an O(users) ``searchsorted`` closed form; anything that can dip
+   and re-cross gets a 2-D last-false ``maximum.accumulate`` scan.  The
+   noise step (first polled step at or after the scheduled time) is a
+   ceil with float-rounding fix-ups, run as array fixpoints.  The winner
+   per run is the earliest candidate step, noise beating thresholds on
+   ties, because the loop polls noise first.
 3. **Emit** — build ``TestcaseRun`` records in scalar emission order.
    Every discomfort offset lies on the step grid, so per-(cell, step)
    caches bound the expensive pieces (level dicts, last-values tuples,
@@ -41,9 +44,9 @@ in three phases per block of users:
    cell against the real constructor, then stamped per run without
    re-running dataclass ``__init__``/``__post_init__``.
 
-The contract is byte-for-byte identity with the scalar engines on any
-config — enforced by the ``tests/test_engine_equivalence.py`` property
-suite, the golden seed-2004 pin (``tests/test_golden_study.py``), and
+The contract is byte-for-byte identity with the ``loop`` reference
+engine on any config — enforced by the ``tests/test_engine_equivalence.py``
+property suite, the golden seed-2004 pin (``tests/test_golden_study.py``), and
 ``tests/shardcheck.py --engine batch``.  Because the sharded supervisor
 drives workers through :func:`repro.study.controlled.run_user_range`,
 shards, checkpoints, and resume inherit the batch path with unchanged
@@ -62,10 +65,11 @@ from scipy import stats as sps
 
 from repro.apps.registry import get_task
 from repro.core.feedback import DiscomfortEvent, RunOutcome
+from repro.core.resources import Resource
 from repro.core.run import RunContext, TestcaseRun
 from repro.core.session import record_session_metrics
 from repro.core.testcase import Testcase
-from repro.study.engine import _level_array
+from repro.study.controlled import _INTER_TESTCASE_GAP, _PREAMBLE_MINUTES
 from repro.telemetry import get_telemetry
 from repro.users.behavior import _SKILL_STEP, BehaviorParams
 from repro.users.profile import RATING_CATEGORIES, SkillLevel, UserProfile
@@ -92,6 +96,21 @@ _USERS_PER_CALL_BUCKETS = (1.0, 8.0, 64.0, 512.0, 4096.0, 32768.0)
 _RATING_KEYS = tuple((f"rating_{cat}", cat) for cat in RATING_CATEGORIES)
 _TYPICAL = SkillLevel.TYPICAL
 
+
+def _level_array(testcase: Testcase, resource: Resource, n_steps: int) -> np.ndarray:
+    """Levels at each step, replicating ``Testcase.levels_at`` exactly:
+    beyond a function's duration the level is 0, and the sample exactly at
+    the duration maps to the final value."""
+    fn = testcase.functions[resource]
+    values = fn.values
+    out = np.zeros(n_steps)
+    m = len(values)
+    upto = min(m, n_steps)
+    out[:upto] = values[:upto]
+    if m < n_steps:
+        # t == duration (step index m) still reads the final sample.
+        out[m] = values[-1]
+    return out
 
 def _skill_shift(
     profile: UserProfile, task: str, scale: float, params: BehaviorParams
@@ -550,14 +569,14 @@ def _fire_steps(
     delays: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """Vectorized ``_threshold_fire_step`` across the user axis.
+    """First step at which the poll loop would fire, per user.
 
     ``levels`` is the cell's (n_steps,) series; ``thresholds`` and
     ``delays`` are per-user.  Returns the first firing step per user,
-    ``-1`` where the poll loop would never fire.  Row ``u`` is
-    element-identical to ``_threshold_fire_step(levels, thresholds[u],
-    delays[u], dt)`` — same crossing reset on dips, same ``i * dt``
-    float products.
+    ``-1`` where the poll loop would never fire.  Mirrors the loop: the
+    crossing time is the first step at/above the threshold since the
+    last dip below it, and the user fires once ``t - crossed >= delay``,
+    computed from the same ``i * dt`` float products.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     delays = np.asarray(delays, dtype=float)
@@ -661,7 +680,7 @@ def _decide(
     sim_step = np.full(n, sentinel, dtype=np.int64)
     if cell.draws:
         # One vectorized exp for the whole cell's reaction delays.
-        # numpy routes the scalar np.exp the scalar engine calls through
+        # numpy routes the scalar np.exp the loop engine calls through
         # the same dispatched ufunc kernel (n == 1), so the array call
         # is element-identical — asserted by the equivalence property
         # suite and the golden pin, which would both fail loudly on a
@@ -731,9 +750,9 @@ def _emit(
 
 
 def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
-    """Cell-batched equivalent of the scalar ``run_user_range`` body.
+    """Cell-batched equivalent of the loop engine's ``run_user_range`` body.
 
-    Same signature contract as the scalar path: sessions for users
+    Same signature contract as the loop path: sessions for users
     ``start <= index < stop`` in index order, byte-identical records for
     any partition of the index range — which is exactly why the sharded
     supervisor can call it per shard without touching checkpoint spans.
@@ -745,11 +764,6 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
     generational scans over that live heap dominate the runtime once
     studies pass a few thousand users.
     """
-    # Local import: controlled imports the engine registry at module
-    # level and resolves this module lazily, so the constants must be
-    # pulled in here to keep the import graph acyclic.
-    from repro.study.controlled import _INTER_TESTCASE_GAP, _PREAMBLE_MINUTES
-
     telemetry = get_telemetry()
     started = time.perf_counter() if telemetry.enabled else 0.0
     # Raw-draw marker for "this member never reacts": the only

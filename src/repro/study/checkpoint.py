@@ -8,9 +8,12 @@ for a later process to *prove* which shards survived a crash and salvage
 them instead of recomputing:
 
 ``header``
-    one per study: config identity (seed, users, engine, tasks, shard
-    plan) plus ``base_offset``, the store size when the study began (the
+    one per study: config identity (seed, users, tasks, shard plan)
+    plus ``base_offset``, the store size when the study began (the
     store is append-only, so earlier studies' bytes stay untouched).
+    The engine is not part of the identity: engines write byte-identical
+    records, and every salvaged shard is re-verified against the store
+    bytes anyway, so a study may resume under another engine.
 ``shard`` (status ``done``)
     a committed shard: user range, run count, ``[offset_start,
     offset_end)`` byte span in the store, and the span's SHA-256.
@@ -153,7 +156,6 @@ class StudyCheckpoint:
             "version": MANIFEST_VERSION,
             "seed": config.seed,
             "n_users": config.n_users,
-            "engine": config.engine,
             "tasks": list(config.tasks),
             "shards": [[s.index, s.start, s.stop] for s in plan],
         }
@@ -302,7 +304,6 @@ class StudyCheckpoint:
         expected = {
             "seed": config.seed,
             "n_users": config.n_users,
-            "engine": config.engine,
             "tasks": list(config.tasks),
             "shards": [[s.index, s.start, s.stop] for s in plan],
         }

@@ -20,16 +20,12 @@ from typing import Iterator, Sequence
 
 from repro.apps.registry import TASK_ORDER, get_task
 from repro.core.run import RunContext, TestcaseRun
+from repro.core.session import run_simulated_session
 from repro.core.testcase import Testcase
 from repro.errors import StudyError
 from repro.machine.machine import SimulatedMachine
 from repro.monitor.base import SimulatedMonitor
 from repro.machine.specs import MachineSpec
-from repro.study.engine import (
-    SESSION_ENGINES,
-    get_batch_range_engine,
-    get_session_engine,
-)
 from repro.study.testcases import STUDY_SAMPLE_RATE, task_testcases
 from repro.telemetry import get_telemetry
 from repro.users.behavior import BehaviorParams, SimulatedUser
@@ -39,6 +35,7 @@ from repro.users.tolerance import ToleranceTable, paper_calibrated_table
 from repro.util.rng import derive_rng
 
 __all__ = [
+    "ENGINES",
     "ControlledStudyConfig",
     "StudyFixtures",
     "StudyResult",
@@ -52,6 +49,8 @@ _INTER_TESTCASE_GAP = 0.0
 #: Session phases before the tasks begin (questionnaire, handout,
 #: acclimatization), minutes — only advances the session clock.
 _PREAMBLE_MINUTES = 20.0
+#: Values of ``ControlledStudyConfig.engine``.
+ENGINES = ("batch", "loop")
 
 
 @dataclass(frozen=True)
@@ -72,19 +71,19 @@ class ControlledStudyConfig:
     behavior: BehaviorParams = field(default_factory=BehaviorParams)
     #: Testcase sample rate (Hz).
     sample_rate: float = STUDY_SAMPLE_RATE
-    #: Session engine: "analytic" (vectorized closed form, the default),
-    #: "loop" (the generic per-sample poll loop), or "batch" (the
-    #: cell-batched fast path advancing every user of a (task, testcase)
-    #: cell as numpy arrays).  All produce byte-identical runs; see
-    #: repro.study.engine and repro.study.batch.
-    engine: str = "analytic"
+    #: Study engine: "batch" (the default fast path, advancing every
+    #: user of a (task, testcase) cell as numpy arrays; see
+    #: repro.study.batch) or "loop" (the generic per-sample poll loop,
+    #: the reference both are tested against).  Both produce
+    #: byte-identical runs.
+    engine: str = "batch"
 
     def __post_init__(self) -> None:
         if self.n_users < 1:
             raise StudyError(f"n_users must be >= 1, got {self.n_users}")
         if not self.tasks:
             raise StudyError("at least one task is required")
-        if self.engine not in SESSION_ENGINES:
+        if self.engine not in ENGINES:
             raise StudyError(f"unknown engine {self.engine!r}")
 
 
@@ -179,7 +178,6 @@ def _run_user_session(
     user = SimulatedUser(
         profile, config.table, config.behavior, seed=derive_rng(config.seed, "user-behavior", user_index)
     )
-    run_session = get_session_engine(config.engine)
     clock = _PREAMBLE_MINUTES * 60.0
     runs: list[TestcaseRun] = []
     for task_name in config.tasks:
@@ -202,7 +200,7 @@ def _run_user_session(
                     },
                 },
             )
-            result = run_session(
+            result = run_simulated_session(
                 testcase,
                 user,
                 context,
@@ -244,12 +242,14 @@ def run_user_range(
         )
     if fixtures is None:
         fixtures = study_fixtures(config)
-    batch_runner = get_batch_range_engine(config.engine)
-    if batch_runner is not None:
-        # Cell-batched engines replace the whole per-user loop; they
-        # honor the same derivation order, so the byte contract above
+    if config.engine == "batch":
+        # Local import: batch imports this module's session constants.
+        from repro.study.batch import run_batch_user_range
+
+        # The cell-batched engine replaces the whole per-user loop; it
+        # honors the same derivation order, so the byte contract above
         # (and the sharded checkpoint spans built on it) is unchanged.
-        return batch_runner(config, start, stop, fixtures)
+        return run_batch_user_range(config, start, stop, fixtures)
     runs: list[TestcaseRun] = []
     for index in range(start, stop):
         runs.extend(

@@ -52,7 +52,11 @@ from repro.study.controlled import (
     run_user_range,
     study_fixtures,
 )
-from repro.study.supervisor import SupervisorPolicy, supervise_shards
+from repro.study.supervisor import (
+    SupervisorPolicy,
+    check_max_workers,
+    supervise_shards,
+)
 from repro.telemetry import (
     Telemetry,
     TraceContext,
@@ -317,6 +321,7 @@ def run_sharded_study(
         config = ControlledStudyConfig()
     if shards < 1:
         raise StudyError(f"shards must be >= 1, got {shards}")
+    check_max_workers(max_workers)
     if resume and checkpoint is None:
         raise StudyError("resume=True requires a checkpoint")
     supervised = (

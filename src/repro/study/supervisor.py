@@ -50,7 +50,7 @@ from repro.util.rng import derive_rng
 if TYPE_CHECKING:
     from repro.study.sharded import Shard
 
-__all__ = ["SupervisorPolicy", "supervise_shards"]
+__all__ = ["SupervisorPolicy", "check_max_workers", "supervise_shards"]
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,17 @@ class _Attempt:
         self.deadline: float | None = None
 
 
+def check_max_workers(max_workers: int | None) -> None:
+    """Reject a worker cap below 1 (``None`` means one worker per shard).
+
+    The study and fleet entry points call this before choosing between
+    the in-process and the sharded path, so a bad cap fails the same way
+    at any shard count.
+    """
+    if max_workers is not None and max_workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {max_workers}")
+
+
 def supervise_shards(
     plan: Sequence["Shard"],
     work: Callable[["Shard"], Callable[[int, int], object]],
@@ -215,8 +226,9 @@ def supervise_shards(
     """
     from multiprocessing.connection import wait
 
+    check_max_workers(max_workers)
     ctx = _resolve_context(mp_context)
-    workers = max(1, min(len(plan), max_workers) if max_workers else len(plan))
+    workers = min(len(plan), max_workers or len(plan))
     pending = deque(
         _Attempt(shard, derive_rng(seed, "shard-supervisor", shard.index))
         for shard in plan

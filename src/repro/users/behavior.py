@@ -114,8 +114,9 @@ class SimulatedUser:
         return self._params
 
     # Read-only views of the per-run state armed by begin_run; the
-    # analytic study engine (repro.study.engine) replays the poll loop's
-    # decision in closed form from exactly these values.
+    # equivalence tests feed exactly these values to the batch study
+    # engine's closed-form decision kernels (repro.study.batch) and
+    # check them against the poll loop's decision.
 
     @property
     def armed_thresholds(self) -> dict[Resource, float]:

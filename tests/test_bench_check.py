@@ -150,6 +150,36 @@ class TestCompareReports:
             regressions, _ = bench_check.compare_reports(baseline, current)
             assert any("diverged" in r for r in regressions)
 
+    def test_batch_speedup_vs_loop_floor(self):
+        # The default floor is an absolute contract on the current report.
+        engines = [
+            {"engine": "loop", "users": 33, "runs_per_second": 150.0,
+             "sha256": "aa"},
+            {"engine": "batch", "users": 33, "runs_per_second": 30000.0,
+             "sha256": "aa", "byte_identical_to_loop": True,
+             "speedup_vs_loop": 200.0},
+        ]
+        current = study_report()
+        current["results"].extend(copy.deepcopy(engines))
+        regressions, notes = bench_check.compare_reports(
+            study_report(), current
+        )
+        assert regressions == []
+        assert any("200.0x vs loop" in n for n in notes)
+        current["results"][-1]["speedup_vs_loop"] = 150.0
+        regressions, _ = bench_check.compare_reports(study_report(), current)
+        assert any("under the required 176x" in r for r in regressions)
+
+    def test_engine_divergence_from_loop_fails(self):
+        current = study_report()
+        current["results"].append(
+            {"engine": "batch", "users": 33, "runs_per_second": 30000.0,
+             "sha256": "bb", "byte_identical_to_loop": False,
+             "speedup_vs_loop": 200.0}
+        )
+        regressions, _ = bench_check.compare_reports(study_report(), current)
+        assert any("diverged from the loop engine" in r for r in regressions)
+
     def test_scheduler_pareto_dominance_is_noted(self):
         regressions, notes = bench_check.compare_reports(
             scheduler_report(), scheduler_report()

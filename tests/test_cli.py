@@ -145,6 +145,28 @@ class TestStudyPipeline:
         b = (tmp_path / "chaos" / "results.jsonl").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_study_zero_workers_exits_3(self, tmp_path, capsys, shards):
+        # ValidationError family exits 3, whatever the shard count.
+        for workers in ("0", "-2"):
+            assert run_cli("study", "--users", "4", "--shards", shards,
+                           "--workers", workers,
+                           "--results", str(tmp_path / workers)) == 3
+            assert "workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_harvest_zero_workers_exits_3(self, tmp_path, capsys, shards):
+        for workers in ("0", "-2"):
+            assert run_cli("harvest", "--clients", "4", "--epochs", "1",
+                           "--shards", shards, "--workers", workers) == 3
+            assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_study_removed_engine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("study", "--engine", 'analytic')
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_study_bad_chaos_spec_errors(self, tmp_path, capsys):
         # ValidationError family exits 3.
         assert run_cli("study", "--users", "2",

@@ -157,7 +157,7 @@ class TestShardedEquivalence:
 @given(
     n_users=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=10_000),
-    engine=st.sampled_from(["analytic", "loop"]),
+    engine=st.sampled_from(["batch", "loop"]),
     k=st.integers(min_value=2, max_value=4),
     tasks=st.sampled_from([("word",), ("ie", "quake"), ("powerpoint",)]),
 )
@@ -286,7 +286,7 @@ class TestShardedTelemetry:
 
         monkeypatch.setattr(time_mod, "perf_counter", counting_perf_counter)
         config = ControlledStudyConfig(n_users=2, seed=6, tasks=("word",))
-        for engine in ("analytic", "loop"):
+        for engine in ("batch", "loop"):
             run_controlled_study(
                 ControlledStudyConfig(
                     n_users=config.n_users,

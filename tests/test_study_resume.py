@@ -117,6 +117,36 @@ class TestManifestLifecycle:
         with pytest.raises(StudyError, match="seed"):
             run_checkpointed(store, config=other, resume=True)
 
+    def test_resume_under_another_engine(self, tmp_path):
+        # Engines write byte-identical records and resume re-verifies
+        # every salvaged shard's bytes, so the engine is not part of the
+        # study identity: a study interrupted under the loop engine, its
+        # header also naming an engine that no longer exists, resumes
+        # under batch to the uninterrupted bytes.
+        store = ResultStore(tmp_path)
+        loop_small = ControlledStudyConfig(
+            n_users=SMALL.n_users, seed=SMALL.seed, tasks=SMALL.tasks,
+            engine="loop",
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_checkpointed(
+                store, config=loop_small, chaos=ShardFaultPlan(sigint=1.0)
+            )
+        checkpoint = StudyCheckpoint(store)
+        records = manifest_records(checkpoint)
+        assert "engine" not in records[0]
+        assert [r["kind"] for r in records] == ["header", "shard"]
+        records[0]["engine"] = 'analytic'
+        checkpoint.path.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        resumed = run_checkpointed(store, config=SMALL, resume=True)
+        baseline = run_controlled_study(loop_small)
+        assert serialized_records(resumed) == serialized_records(baseline)
+        assert store.path.read_bytes() == b"".join(
+            serialized_records(baseline)
+        )
+
     def test_resume_without_manifest_errors(self, tmp_path):
         store = ResultStore(tmp_path)
         with pytest.raises(StudyError, match="manifest"):
@@ -175,13 +205,13 @@ class TestResumeSalvage:
         digest = assert_resume_equivalence(
             batch_small, shards=2, chaos=plan
         )
-        # Same bytes the *analytic* engine produces for this config:
-        # the resume contract holds across engines, not merely within.
+        # Same bytes the *loop* engine produces for this config: the
+        # resume contract holds across engines, not merely within.
         assert digest == study_digest(
             run_controlled_study(
                 ControlledStudyConfig(
                     n_users=SMALL.n_users, seed=SMALL.seed,
-                    tasks=SMALL.tasks, engine="analytic",
+                    tasks=SMALL.tasks, engine="loop",
                 )
             )
         )

@@ -22,7 +22,7 @@ from repro.users.tolerance import paper_calibrated_table
 from repro.util.rng import derive_rng
 
 
-def _study_records(n_users=3, seed=99, engine="analytic"):
+def _study_records(n_users=3, seed=99, engine="batch"):
     result = run_controlled_study(
         ControlledStudyConfig(n_users=n_users, seed=seed, engine=engine)
     )
@@ -30,7 +30,7 @@ def _study_records(n_users=3, seed=99, engine="analytic"):
 
 
 class TestBitIdenticalWithTelemetry:
-    @pytest.mark.parametrize("engine", ["analytic", "loop"])
+    @pytest.mark.parametrize("engine", ["batch", "loop"])
     def test_study_identical_on_off(self, tmp_path, engine):
         baseline = _study_records(engine=engine)
         with use_telemetry(Telemetry.to_path(tmp_path / "events.jsonl")):
@@ -59,7 +59,7 @@ class TestStudyEventLog:
         assert any(e.fields["span"] == "study.controlled" for e in spans)
         # session outcome counters and at least one latency histogram
         assert "uucs_session_runs_total" in exposition
-        assert 'engine="analytic"' in exposition
+        assert 'engine="batch"' in exposition
         assert "uucs_session_duration_seconds_bucket" in exposition
         assert "uucs_session_wall_seconds_sum" in exposition
 
@@ -68,7 +68,7 @@ class TestStudyEventLog:
             records = _study_records(n_users=2)
             counter = tel.metrics.get("uucs_session_runs_total")
             total = sum(
-                counter.value(engine="analytic", outcome=outcome)
+                counter.value(engine="batch", outcome=outcome)
                 for outcome in ("discomfort", "exhausted", "aborted")
             )
         assert total == len(records)
